@@ -139,6 +139,8 @@ pub type CliResult = Result<(), String>;
 /// the trainer's last progress note, plus the panic message — then flushes
 /// the sink and delegates to the default hook. This is what lets
 /// `lrgcn report` distinguish a crashed run from one that merely stopped.
+/// The hook writes to the panicking thread's sink; a kernel worker's panic
+/// is recorded when `std::thread::scope` re-raises it on the run's thread.
 pub fn install_panic_hook() {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
@@ -179,8 +181,8 @@ pub fn run(tokens: Vec<String>) -> CliResult {
             .ok_or_else(|| format!("--kernel wants naive, blocked or simd, got {name:?}"))?;
         lrgcn::tensor::kernels::set_kernel(k);
     }
-    // --log-json wins over the environment; either installs the global
-    // JSONL sink for the duration of the process.
+    // --log-json wins over the environment; either installs the JSONL
+    // sink on this thread, which runs the command.
     let log_json = args.get("log-json").map(String::from).or_else(|| {
         std::env::var("LRGCN_LOG_JSON")
             .ok()
@@ -784,9 +786,9 @@ mod tests {
             log_path.display()
         )))
         .expect("train with --log-json");
-        // Other tests in this process may train concurrently while the
-        // global sink is installed; uninstall before reading so the file is
-        // complete and flushed.
+        // The sink belongs to this test's thread, so concurrently training
+        // tests cannot write into it; uninstall before reading so the file
+        // is complete and flushed.
         sink::uninstall();
 
         let text = std::fs::read_to_string(&log_path).expect("log file written");

@@ -16,10 +16,11 @@
 //! 2. **[`timer`]** — RAII scoped timers feeding the histograms. Used at
 //!    coarse granularity only (per epoch phase, per CSR build, per dropout
 //!    resample, per evaluation round).
-//! 3. **[`sink`]** — an optional global JSONL event sink (`--log-json
-//!    <path>` on the CLI, or the `LRGCN_LOG_JSON` environment variable).
-//!    When no sink is installed, [`sink::enabled`] is a single atomic load
-//!    and event construction is skipped entirely; when installed, the
+//! 3. **[`sink`]** — an optional JSONL event sink (`--log-json <path>` on
+//!    the CLI, or the `LRGCN_LOG_JSON` environment variable), owned by the
+//!    thread that installed it. When none is installed,
+//!    [`sink::enabled`] is a single thread-local load and event
+//!    construction is skipped entirely; when installed, the
 //!    trainer emits one structured record per epoch, a model-health
 //!    [`diag`] record per validated epoch, and a run summary (see
 //!    [`event`] for the schema).
@@ -37,7 +38,7 @@
 //!
 //! With no sink installed the only costs are: one relaxed `fetch_add` per
 //! instrumented kernel call, two `Instant::now` calls per scoped timer, one
-//! atomic load per suppressed event, and one atomic load per suppressed
+//! thread-local load per suppressed event, and one atomic load per suppressed
 //! trace span. The guard tests in `tests/overhead.rs` pin these costs;
 //! `crates/train` additionally checks that the per-epoch instrumentation
 //! budget stays under 5% of epoch wall time.

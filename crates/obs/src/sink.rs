@@ -1,9 +1,13 @@
-//! The global JSONL event sink.
+//! The JSONL event sink.
 //!
-//! At most one sink is installed per process (the CLI installs one when
-//! `--log-json <path>` or `LRGCN_LOG_JSON` is given). Emitters must guard
-//! event *construction* behind [`enabled`] — a single relaxed atomic load —
-//! so an uninstrumented run pays nothing beyond that load:
+//! A sink belongs to the thread that installed it (the CLI installs one
+//! when `--log-json <path>` or `LRGCN_LOG_JSON` is given), and only that
+//! thread's records reach it. A training run emits from the thread that
+//! drives it, so two runs in one process — concurrent tests, or an
+//! application training several models — can never interleave records in
+//! each other's logs. Emitters must guard event *construction* behind
+//! [`enabled`] — one thread-local load — so an uninstrumented run pays
+//! nothing beyond that load:
 //!
 //! ```
 //! use lrgcn_obs::{event, sink};
@@ -18,30 +22,30 @@
 //! `tail -f` works during training.
 
 use crate::json::Value;
+use std::cell::RefCell;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static SINK: Mutex<Option<Box<dyn Write + Send>>> = Mutex::new(None);
+thread_local! {
+    static SINK: RefCell<Option<Box<dyn Write>>> = const { RefCell::new(None) };
+}
 static NEXT_RUN_ID: AtomicU64 = AtomicU64::new(1);
 
-/// True when a sink is installed. The one-load fast path every emitter
-/// checks before building an event.
+/// True when the calling thread has a sink installed. The one-load fast
+/// path every emitter checks before building an event.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SINK.with(|s| s.try_borrow().is_ok_and(|w| w.is_some()))
 }
 
-/// Installs `w` as the global sink, replacing any previous one (the old
-/// writer is flushed and dropped).
-pub fn install(w: Box<dyn Write + Send>) {
-    let mut guard = SINK.lock().unwrap();
-    if let Some(old) = guard.as_mut() {
-        let _ = old.flush();
-    }
-    *guard = Some(w);
-    ENABLED.store(true, Ordering::Relaxed);
+/// Installs `w` as the calling thread's sink, replacing any previous one
+/// (the old writer is flushed and dropped).
+pub fn install(w: Box<dyn Write>) {
+    SINK.with(|s| {
+        if let Some(mut old) = s.borrow_mut().replace(w) {
+            let _ = old.flush();
+        }
+    });
 }
 
 /// Opens `path` in append mode and installs it as the sink. Append (rather
@@ -56,32 +60,32 @@ pub fn install_file(path: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Removes the sink, flushing buffered output. Emission reverts to the
-/// suppressed fast path.
+/// Removes the calling thread's sink, flushing buffered output. Emission
+/// reverts to the suppressed fast path.
 pub fn uninstall() {
-    ENABLED.store(false, Ordering::Relaxed);
-    let mut guard = SINK.lock().unwrap();
-    if let Some(old) = guard.as_mut() {
-        let _ = old.flush();
-    }
-    *guard = None;
+    SINK.with(|s| {
+        if let Some(mut old) = s.borrow_mut().take() {
+            let _ = old.flush();
+        }
+    });
 }
 
-/// Renders `event` as one JSON line and writes it to the sink. A no-op when
-/// no sink is installed; callers on hot paths should still check
-/// [`enabled`] first to skip building the event at all. Write errors are
-/// swallowed: observability must never take down training.
+/// Renders `event` as one JSON line and writes it to the calling thread's
+/// sink. A no-op when the thread has none; callers on hot paths should
+/// still check [`enabled`] first to skip building the event at all. Write
+/// errors are swallowed: observability must never take down training.
 pub fn emit(event: &Value) {
-    if !enabled() {
-        return;
-    }
-    let mut line = event.render();
-    line.push('\n');
-    let mut guard = SINK.lock().unwrap();
-    if let Some(w) = guard.as_mut() {
-        let _ = w.write_all(line.as_bytes());
-        let _ = w.flush();
-    }
+    SINK.with(|s| {
+        let Ok(mut guard) = s.try_borrow_mut() else {
+            return;
+        };
+        if let Some(w) = guard.as_mut() {
+            let mut line = event.render();
+            line.push('\n');
+            let _ = w.write_all(line.as_bytes());
+            let _ = w.flush();
+        }
+    });
 }
 
 /// Allocates a process-unique run id. The trainer stamps every event of one
@@ -136,12 +140,8 @@ mod tests {
         }
     }
 
-    // Tests that install the global sink must not interleave.
-    static SINK_TEST_LOCK: StdMutex<()> = StdMutex::new(());
-
     #[test]
     fn emit_writes_one_parseable_line_per_event() {
-        let _serial = SINK_TEST_LOCK.lock().unwrap();
         let buf = Arc::new(StdMutex::new(Vec::new()));
         install(Box::new(SharedBuf(buf.clone())));
         assert!(enabled());
@@ -160,9 +160,24 @@ mod tests {
 
     #[test]
     fn emit_without_sink_is_a_noop() {
-        let _serial = SINK_TEST_LOCK.lock().unwrap();
         uninstall();
         emit(&Value::str("dropped"));
+    }
+
+    #[test]
+    fn a_sink_receives_only_its_own_threads_records() {
+        let buf = Arc::new(StdMutex::new(Vec::new()));
+        install(Box::new(SharedBuf(buf.clone())));
+        std::thread::spawn(|| {
+            assert!(!enabled(), "another thread's sink leaked in");
+            emit(&Value::str("other"));
+        })
+        .join()
+        .unwrap();
+        emit(&Value::str("mine"));
+        uninstall();
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        assert_eq!(text, "\"mine\"\n");
     }
 
     #[test]

@@ -333,7 +333,7 @@ impl StatusClass {
     }
 }
 
-/// Which scan answered the request (fixed per engine configuration).
+/// Which scan answered the request: the read plan it was served on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum ReadPath {

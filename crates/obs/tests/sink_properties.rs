@@ -1,5 +1,5 @@
 //! Property test for the JSONL sink: randomized multi-run event streams are
-//! emitted through the real global sink and read back line-by-line. Every
+//! emitted through the real sink and read back line-by-line. Every
 //! line must parse, runs must stay separable by id, epoch indices must be
 //! strictly increasing within a run, and numeric payloads (losses, timings)
 //! must round-trip bit-exactly through the hand-rolled JSON layer.
@@ -48,10 +48,6 @@ impl Write for SharedBuf {
         Ok(())
     }
 }
-
-// The sink is process-global; tests in this binary that install it must not
-// interleave.
-static SINK_LOCK: Mutex<()> = Mutex::new(());
 
 /// Names deliberately include everything the escaper must survive: quotes,
 /// backslashes, control characters, and multi-byte UTF-8.
@@ -153,7 +149,6 @@ fn field_f64(v: &Value, key: &str) -> f64 {
 
 #[test]
 fn random_event_streams_roundtrip_through_the_sink() {
-    let _serial = SINK_LOCK.lock().unwrap();
     let buf = Arc::new(Mutex::new(Vec::new()));
     let mut rng = Rng(0x1cde_2023);
 
@@ -257,7 +252,6 @@ fn random_event_streams_roundtrip_through_the_sink() {
 fn interleaved_runs_remain_separable() {
     // Two "concurrent" runs writing to one sink (the append-mode file case):
     // the run ids must let a reader demultiplex them cleanly.
-    let _serial = SINK_LOCK.lock().unwrap();
     let buf = Arc::new(Mutex::new(Vec::new()));
     sink::install(Box::new(SharedBuf(buf.clone())));
 

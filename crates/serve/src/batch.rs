@@ -136,7 +136,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn engine() -> Arc<Engine> {
+    /// Each test saves its own checkpoint: tests run concurrently, and one
+    /// test's save must not tear the file another test is opening.
+    fn engine(name: &str) -> Arc<Engine> {
         let ds = Arc::new(Dataset::from_parts(
             "tiny",
             3,
@@ -147,7 +149,7 @@ mod tests {
         ));
         let dir = std::env::temp_dir().join("lrgcn_batch_test");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let ckpt = dir.join("m.ckpt");
+        let ckpt = dir.join(format!("{name}.ckpt"));
         let mut rng = StdRng::seed_from_u64(5);
         let mut m = LightGcn::new(
             &ds,
@@ -171,7 +173,7 @@ mod tests {
 
     #[test]
     fn concurrent_submissions_coalesce_and_all_answer() {
-        let eng = engine();
+        let eng = engine("coalesce");
         let batcher = Batcher::new(Duration::from_millis(2));
         let scorer = {
             let b = batcher.clone();
@@ -205,7 +207,7 @@ mod tests {
 
     #[test]
     fn bad_ids_fail_their_request_without_poisoning_neighbours() {
-        let eng = engine();
+        let eng = engine("bad_ids");
         let batcher = Batcher::new(Duration::from_millis(5));
         let scorer = {
             let b = batcher.clone();

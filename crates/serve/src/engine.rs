@@ -7,9 +7,23 @@
 //! embedding matrix** — the `(n_users + n_items) × d` table the offline
 //! evaluator scores from. Request handling then reuses the *same* kernels
 //! as the evaluator ([`lrgcn_models::common::score_from_final`], the same
-//! `-inf` masking of training items, [`lrgcn_eval::top_k_with_scores`]), so
-//! a served top-K list is byte-identical to the offline ranking — for any
-//! `LRGCN_THREADS`, by the parallel layer's bitwise-identity contract.
+//! `-inf` masking of training items, the same score-desc/id-asc
+//! tie-break), so a served top-K list is byte-identical to the offline
+//! ranking — for any `LRGCN_THREADS`, by the parallel layer's
+//! bitwise-identity contract.
+//!
+//! Every query runs through one pipeline. [`EngineState::plan`] resolves
+//! the request's [`Plan`] once (`Exact`, `Quant` or `Ann { nprobe, quant }`,
+//! from what was built plus the brownout [`ReadOverride`]); then
+//! candidates (the whole catalog, or the probed IVF cells) → an optional
+//! int8 pre-rank to `4·K` → exact f32 rescore → the fold-in delta's new
+//! items as one more candidate source → one rank (score desc, id asc,
+//! truncate). `/recs` is [`EngineState::recommend`]; `/similar` is
+//! [`EngineState::similar`], the same pipeline with a cosine query and the
+//! query item as the only mask. `top_k`, `top_k_into` and `top_k_stream`
+//! remain as default-plan wrappers of a few lines each, because the
+//! offline tools, the committed bench binaries and the repository
+//! benchmark call them.
 //!
 //! Reload builds a fresh [`EngineState`] off to the side and swaps it in
 //! with one `RwLock<Arc<_>>` write: requests in flight keep scoring against
@@ -18,25 +32,26 @@
 //! cache keys, which is what invalidates cached answers.
 //!
 //! With [`EngineOptions::quant`] the state additionally carries an int8
-//! [`QuantizedTable`] of the item block (rebuilt on every reload) and the
-//! read paths switch to a two-stage rank-then-rescore: the quantized scan
-//! ranks the full catalog cheaply, the exact f32 kernel re-scores only the
-//! top `4·K` candidates. The measured recall of that path against the exact
-//! scan ([`EngineState::quant_recall`]) is computed once per load and
-//! exported as the `serve.quant.recall_ppm` gauge.
+//! [`QuantizedTable`] of the item block (rebuilt on every reload), and
+//! with [`EngineOptions::ann`] or `ann_standby` an IVF index. The recall of
+//! each approximate plan against the exact scan
+//! ([`EngineState::quant_recall`], [`EngineState::ann_recall`]) is measured
+//! once per load and exported as the `serve.quant.recall_ppm` /
+//! `serve.ann.recall_ppm` gauges.
 
 use crate::ann::{IvfConfig, IvfIndex};
 use crate::delta::StreamDelta;
 use lrgcn_data::Dataset;
 use lrgcn_models::foldin::FoldInBasis;
 use lrgcn_stream::{EventLog, StreamEvent};
-use lrgcn_eval::{overlap_fraction, top_k_indices_into, top_k_with_scores};
+use lrgcn_eval::overlap_fraction;
 use lrgcn_graph::EdgePruner;
 use lrgcn_models::checkpoint::{model_tag, require_entry, SERVABLE_TAGS};
 use lrgcn_models::common::score_from_final;
 use lrgcn_models::{
     LayerGcn, LayerGcnConfig, LightGcn, LightGcnConfig, LrGccf, LrGccfConfig, Recommender,
 };
+use lrgcn_obs::window::ReadPath;
 use lrgcn_obs::{registry, Counter, Gauge};
 use lrgcn_tensor::matrix::dot;
 use lrgcn_tensor::{kernels, Matrix, QuantizedTable};
@@ -95,7 +110,7 @@ impl Default for EngineOptions {
     }
 }
 
-/// First-stage candidate multiplier: the quantized scan keeps `4·K`
+/// First-stage candidate multiplier: a quantized plan keeps `4·K`
 /// candidates for the exact rescore.
 const CANDIDATE_FACTOR: usize = 4;
 /// How many users the build-time recall guardrail samples.
@@ -105,26 +120,28 @@ const RECALL_K: usize = 20;
 
 /// Reusable per-worker request buffers. Request handling on the hot path
 /// writes scores into these instead of allocating an `n_items`-sized score
-/// matrix plus an index vector per request; `server.rs` keeps one per
+/// matrix plus a candidate vector per request; `server.rs` keeps one per
 /// worker thread in a `thread_local`.
 #[derive(Default)]
 pub struct Scratch {
+    /// Whole-catalog first-stage scores.
     scores: Vec<f32>,
-    idx: Vec<u32>,
     qbuf: Vec<i8>,
-    /// Probed IVF cell ids (ANN path only).
+    /// Probed IVF cell ids (ANN plans only).
     cells: Vec<u32>,
     /// ANN candidate item ids gathered from the probed cells.
     cand: Vec<u32>,
+    /// `(item, score)` candidates on their way through the pipeline.
+    pairs: Vec<(u32, f32)>,
 }
 
 /// A per-request read-path override. The default (`ReadOverride::default()`)
 /// changes nothing; the brownout controller (DESIGN.md §14) sets `force_ann`
 /// to step an exact/quant deployment down to its standby IVF index under
 /// overload, and `nprobe` to narrow the probe width below the engine's
-/// configured value. The override only ever *cheapens* the read path — it
-/// cannot widen a probe past the built index or enable a path that was not
-/// built.
+/// configured value. The override only ever *cheapens* the read path —
+/// [`EngineState::plan`] ignores it when no index was built, and the probe
+/// width is clamped to the built cells.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReadOverride {
     /// Serve through the IVF index even when the engine default is the
@@ -134,6 +151,41 @@ pub struct ReadOverride {
     /// Explicit probe width for the ANN path, clamped to `1..=n_cells`;
     /// `None` uses the index's configured `nprobe`.
     pub nprobe: Option<usize>,
+}
+
+/// The read path one request is answered on. [`EngineState::plan`] is the
+/// only code that resolves one; the server derives the response-cache key
+/// and the observability label ([`Plan::read_path`]) from the plan it got
+/// back, so the three can never disagree.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Plan {
+    /// Exact f32 scan of the whole catalog.
+    Exact,
+    /// Int8 scan of the whole catalog, pre-ranked to `CANDIDATE_FACTOR·K`
+    /// candidates, then an exact f32 rescore.
+    Quant,
+    /// Candidates from `nprobe` IVF cells; with `quant`, an int8 pre-rank
+    /// of the cells' members before the exact rescore.
+    Ann { nprobe: usize, quant: bool },
+}
+
+impl Plan {
+    /// The label this plan is reported under (window series, access log).
+    pub fn read_path(self) -> ReadPath {
+        match self {
+            Plan::Exact => ReadPath::Exact,
+            Plan::Quant => ReadPath::Quant,
+            Plan::Ann { .. } => ReadPath::Ann,
+        }
+    }
+}
+
+/// What a request scores the catalog against: a readout row, plus the
+/// row's L2 norm when the score is a cosine (`/similar`).
+#[derive(Clone, Copy)]
+struct Query<'a> {
+    row: &'a [f32],
+    cos_norm: Option<f32>,
 }
 
 /// One immutable, fully-materialized serving snapshot.
@@ -369,10 +421,24 @@ impl EngineState {
         score_from_final(&self.final_emb, self.n_users, users)
     }
 
-    /// Top-K recommendations for one user, optionally masking the items the
-    /// user interacted with in training — the same masking and the same
-    /// tie-break as the offline evaluator. Allocating wrapper around
-    /// [`EngineState::top_k_into`].
+    /// Resolves the read path for one request: the IVF index when it
+    /// serves by default or `ovr` forces it (and one was built), else the
+    /// int8 table when one was built, else the exact scan.
+    pub fn plan(&self, ovr: ReadOverride) -> Plan {
+        match &self.ann {
+            Some(ann) if self.ann_default || ovr.force_ann => Plan::Ann {
+                nprobe: ovr.nprobe.unwrap_or_else(|| ann.nprobe()),
+                quant: self.quant.is_some(),
+            },
+            _ if self.quant.is_some() => Plan::Quant,
+            _ => Plan::Exact,
+        }
+    }
+
+    /// Top-K recommendations for one user under the default plan,
+    /// optionally masking the user's training items in `ds` — the same
+    /// masking and the same tie-break as the offline evaluator. Allocating
+    /// wrapper around [`EngineState::top_k_into`].
     pub fn top_k(
         &self,
         ds: &Dataset,
@@ -384,8 +450,7 @@ impl EngineState {
     }
 
     /// [`EngineState::top_k`] writing all `O(n_items)` intermediates into a
-    /// caller-held [`Scratch`]. Dispatches to the quantized two-stage path
-    /// when the state carries a table, else to the exact scan.
+    /// caller-held [`Scratch`].
     pub fn top_k_into(
         &self,
         ds: &Dataset,
@@ -394,56 +459,23 @@ impl EngineState {
         exclude_seen: bool,
         scratch: &mut Scratch,
     ) -> Result<Vec<(u32, f32)>, String> {
-        self.top_k_into_opts(ds, user, k, exclude_seen, scratch, ReadOverride::default())
-    }
-
-    /// [`EngineState::top_k_into`] under a [`ReadOverride`].
-    pub fn top_k_into_opts(
-        &self,
-        ds: &Dataset,
-        user: u32,
-        k: usize,
-        exclude_seen: bool,
-        scratch: &mut Scratch,
-        ovr: ReadOverride,
-    ) -> Result<Vec<(u32, f32)>, String> {
         if user as usize >= self.n_users {
             return Err(format!("user {user} out of range (0..{})", self.n_users));
         }
-        let row = self.final_emb.row(user as usize);
-        let seen: &[u32] = if exclude_seen { ds.train_items(user) } else { &[] };
-        Ok(self.top_k_row(row, seen, k, scratch, ovr))
-    }
-
-    /// Top-K against the trained catalog for an arbitrary readout row and a
-    /// sorted `seen` mask (empty slice = no masking). Every public top-K
-    /// entry point funnels through here, so the streaming path shares the
-    /// exact/quant/ANN dispatch — and the brownout override — with the
-    /// trained-user path.
-    fn top_k_row(
-        &self,
-        row: &[f32],
-        seen: &[u32],
-        k: usize,
-        scratch: &mut Scratch,
-        ovr: ReadOverride,
-    ) -> Vec<(u32, f32)> {
-        if self.ann.is_some() && (self.ann_default || ovr.force_ann) {
-            self.top_k_ann(row, seen, k, scratch, ovr.nprobe)
-        } else if self.quant.is_some() {
-            self.top_k_quant(row, seen, k, scratch)
+        let q = Query {
+            row: self.final_emb.row(user as usize),
+            cos_norm: None,
+        };
+        let seen: &[u32] = if exclude_seen {
+            ds.train_items(user)
         } else {
-            self.top_k_exact(row, seen, k, scratch)
-        }
+            &[]
+        };
+        let plan = self.plan(ReadOverride::default());
+        Ok(self.rank_query(q, seen, None, k, plan, scratch))
     }
 
-    /// Top-K for a user as seen through a streaming fold-in [`StreamDelta`]
-    /// (pin one `Arc` per request via [`EngineState::delta`]): post-training
-    /// users serve from their synthesized row, trained users with folded-in
-    /// events from their updated row, and synthesized new-item rows join the
-    /// candidate pool. With `exclude_seen`, folded-in interactions are
-    /// masked alongside training ones. With an empty delta this is
-    /// byte-identical to [`EngineState::top_k`].
+    /// [`EngineState::recommend`] under the default plan.
     pub fn top_k_stream(
         &self,
         delta: &StreamDelta,
@@ -452,18 +484,26 @@ impl EngineState {
         exclude_seen: bool,
         scratch: &mut Scratch,
     ) -> Result<Vec<(u32, f32)>, String> {
-        self.top_k_stream_opts(delta, user, k, exclude_seen, scratch, ReadOverride::default())
+        let plan = self.plan(ReadOverride::default());
+        self.recommend(delta, user, k, exclude_seen, plan, scratch)
     }
 
-    /// [`EngineState::top_k_stream`] under a [`ReadOverride`].
-    pub fn top_k_stream_opts(
+    /// Top-K for a user under `plan`, as seen through a streaming fold-in
+    /// [`StreamDelta`] (pin one `Arc` per request via
+    /// [`EngineState::delta`]): post-training users serve from their
+    /// synthesized row, trained users with folded-in events from their
+    /// updated row, and synthesized new-item rows join the candidates. With
+    /// `exclude_seen`, folded-in interactions are masked alongside training
+    /// ones. With an empty delta this is byte-identical to the trained-user
+    /// path.
+    pub fn recommend(
         &self,
         delta: &StreamDelta,
         user: u32,
         k: usize,
         exclude_seen: bool,
+        plan: Plan,
         scratch: &mut Scratch,
-        ovr: ReadOverride,
     ) -> Result<Vec<(u32, f32)>, String> {
         let trained = (user as usize) < self.n_users;
         let row: &[f32] = match delta.user_row(user) {
@@ -476,330 +516,161 @@ impl EngineState {
                 ))
             }
         };
+        let train: &[u32] = if trained {
+            self.ds.train_items(user)
+        } else {
+            &[]
+        };
         let folded = delta.user_items(user);
-        let mut merged: Vec<u32> = Vec::new();
+        let merged: Vec<u32>;
         let seen: &[u32] = if !exclude_seen {
             &[]
+        } else if folded.is_empty() {
+            train
         } else {
-            let train: &[u32] = if trained { self.ds.train_items(user) } else { &[] };
-            if folded.is_empty() {
-                train
-            } else {
-                merged.reserve(train.len() + folded.len());
-                merged.extend_from_slice(train);
-                merged.extend_from_slice(folded);
-                merged.sort_unstable();
-                merged.dedup();
-                &merged
-            }
+            let mut m = [train, folded].concat();
+            m.sort_unstable();
+            m.dedup();
+            merged = m;
+            &merged
         };
-        let mut out = self.top_k_row(row, seen, k, scratch, ovr);
-        let mut extended = false;
-        for (it, irow) in delta.item_rows() {
-            if seen.binary_search(&it).is_ok() {
-                continue;
-            }
-            out.push((it, dot(row, irow)));
-            extended = true;
-        }
-        if extended {
-            out.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("scores must not be NaN")
-                    .then(a.0.cmp(&b.0))
-            });
-            out.truncate(k);
-        }
-        Ok(out)
-    }
-
-    /// Exact f32 scores of a readout row against the whole catalog, written
-    /// into `out`. Routes the row against the contiguous item block through
-    /// the same `matmul_nt` kernel as [`score_from_final`], so the scores —
-    /// and therefore the served ranking — stay byte-identical to the
-    /// offline evaluator's.
-    fn exact_scores_into(&self, row: &[f32], out: &mut Vec<f32>) {
-        out.clear();
-        out.resize(self.n_items, 0.0);
-        let kern = kernels::active_kernel();
-        kernels::count_dispatch(kern);
-        kernels::matmul_nt_block(kern, row, self.dim, self.item_block(), self.n_items, out);
-    }
-
-    fn top_k_exact(
-        &self,
-        row: &[f32],
-        seen: &[u32],
-        k: usize,
-        scratch: &mut Scratch,
-    ) -> Vec<(u32, f32)> {
-        self.exact_scores_into(row, &mut scratch.scores);
-        for &it in seen {
-            // The mask may carry folded-in ids past the trained catalog.
-            if (it as usize) < self.n_items {
-                scratch.scores[it as usize] = f32::NEG_INFINITY;
-            }
-        }
-        top_k_indices_into(&scratch.scores, k, &mut scratch.idx);
-        scratch
-            .idx
-            .iter()
-            .map(|&i| (i, scratch.scores[i as usize]))
-            .filter(|&(_, s)| s != f32::NEG_INFINITY)
-            .collect()
-    }
-
-    /// The two-stage quantized path: int8 full-catalog scan, keep the
-    /// approximate top `CANDIDATE_FACTOR·k`, re-score those candidates with
-    /// the exact f32 dot, re-rank with the evaluator's tie-break.
-    fn top_k_quant(
-        &self,
-        row: &[f32],
-        seen: &[u32],
-        k: usize,
-        scratch: &mut Scratch,
-    ) -> Vec<(u32, f32)> {
-        let qt = self.quant.as_ref().expect("quant table");
-        let q_scale = QuantizedTable::quantize_query(row, &mut scratch.qbuf);
-        scratch.scores.clear();
-        scratch.scores.resize(self.n_items, 0.0);
-        qt.scores_into(&scratch.qbuf, q_scale, &mut scratch.scores);
-        registry::add(Counter::QuantScans, 1);
-        for &it in seen {
-            if (it as usize) < self.n_items {
-                scratch.scores[it as usize] = f32::NEG_INFINITY;
-            }
-        }
-        top_k_indices_into(
-            &scratch.scores,
-            k.saturating_mul(CANDIDATE_FACTOR),
-            &mut scratch.idx,
-        );
-        let mut out: Vec<(u32, f32)> = scratch
-            .idx
-            .iter()
-            .filter(|&&i| scratch.scores[i as usize] != f32::NEG_INFINITY)
-            .map(|&i| (i, dot(row, self.item_row(i as usize))))
-            .collect();
-        registry::add(Counter::QuantRescored, out.len() as u64);
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("scores must not be NaN")
-                .then(a.0.cmp(&b.0))
-        });
-        out.truncate(k);
-        out
-    }
-
-    /// The IVF ANN path: probe `nprobe` cells for the user's embedding and
-    /// scan only their members. With quant also on, the in-cell scan is the
-    /// int8 table and the top `CANDIDATE_FACTOR·k` survivors get an exact
-    /// f32 rescore (the PR 6 rank-then-rescore pipeline, restricted to the
-    /// probed candidates); without quant every candidate is scored with the
-    /// exact f32 dot directly. Either way the final scores are the exact
-    /// dots, bitwise-equal to the full-scan path's, and the candidate set
-    /// is a deterministic function of (embeddings, config) — see `ann.rs`.
-    fn top_k_ann(
-        &self,
-        row: &[f32],
-        seen: &[u32],
-        k: usize,
-        scratch: &mut Scratch,
-        nprobe: Option<usize>,
-    ) -> Vec<(u32, f32)> {
-        let ann = self.ann.as_ref().expect("ann index");
-        let nprobe = nprobe.unwrap_or_else(|| ann.nprobe());
-        let probed = ann.candidates_into_n(row, nprobe, &mut scratch.cells, &mut scratch.cand);
-        registry::add(Counter::AnnCellsProbed, probed as u64);
-        registry::add(Counter::AnnCandidates, scratch.cand.len() as u64);
-        let keep = |it: u32| seen.binary_search(&it).is_err();
-        let mut out: Vec<(u32, f32)> = if let Some(qt) = &self.quant {
-            let q_scale = QuantizedTable::quantize_query(row, &mut scratch.qbuf);
-            registry::add(Counter::QuantScans, 1);
-            let mut approx: Vec<(u32, f32)> = scratch
-                .cand
-                .iter()
-                .filter(|&&it| keep(it))
-                .map(|&it| (it, qt.score_row(it as usize, &scratch.qbuf, q_scale)))
-                .collect();
-            approx.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("scores must not be NaN")
-                    .then(a.0.cmp(&b.0))
-            });
-            approx.truncate(k.saturating_mul(CANDIDATE_FACTOR));
-            let rescored: Vec<(u32, f32)> = approx
-                .iter()
-                .map(|&(it, _)| (it, dot(row, self.item_row(it as usize))))
-                .collect();
-            registry::add(Counter::QuantRescored, rescored.len() as u64);
-            rescored
-        } else {
-            scratch
-                .cand
-                .iter()
-                .filter(|&&it| keep(it))
-                .map(|&it| (it, dot(row, self.item_row(it as usize))))
-                .collect()
+        let q = Query {
+            row,
+            cos_norm: None,
         };
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("scores must not be NaN")
-                .then(a.0.cmp(&b.0))
-        });
-        out.truncate(k);
-        out
+        Ok(self.rank_query(q, seen, Some(delta), k, plan, scratch))
     }
 
-    /// Top-K most similar items by embedding cosine (the query item itself
-    /// excluded). Zero-norm embeddings score 0 rather than NaN. Allocating
-    /// wrapper around [`EngineState::similar_items_into`].
-    pub fn similar_items(&self, item: u32, k: usize) -> Result<Vec<(u32, f32)>, String> {
-        self.similar_items_into(item, k, &mut Scratch::default())
-    }
-
-    /// [`EngineState::similar_items`] with caller-held scratch. Under quant
-    /// the first stage ranks by int8-approximated cosine, then the exact
-    /// f32 cosine re-scores the candidates.
-    pub fn similar_items_into(
+    /// Top-K most similar items by embedding cosine under `plan`: the
+    /// `/recs` pipeline with a cosine query and the query item as the only
+    /// mask. Zero-norm embeddings score 0 rather than NaN.
+    pub fn similar(
         &self,
         item: u32,
         k: usize,
+        plan: Plan,
         scratch: &mut Scratch,
-    ) -> Result<Vec<(u32, f32)>, String> {
-        self.similar_items_into_opts(item, k, scratch, ReadOverride::default())
-    }
-
-    /// [`EngineState::similar_items_into`] under a [`ReadOverride`].
-    pub fn similar_items_into_opts(
-        &self,
-        item: u32,
-        k: usize,
-        scratch: &mut Scratch,
-        ovr: ReadOverride,
     ) -> Result<Vec<(u32, f32)>, String> {
         if item as usize >= self.n_items {
             return Err(format!("item {item} out of range (0..{})", self.n_items));
         }
-        if self.ann.is_some() && (self.ann_default || ovr.force_ann) {
-            return Ok(self.similar_ann(item, k, scratch, ovr.nprobe));
-        }
-        let q = self.item_row(item as usize);
-        let qn = self.item_norms[item as usize];
-        scratch.scores.clear();
-        scratch.scores.resize(self.n_items, 0.0);
-        if let Some(qt) = &self.quant {
-            let q_scale = QuantizedTable::quantize_query(q, &mut scratch.qbuf);
-            qt.scores_into(&scratch.qbuf, q_scale, &mut scratch.scores);
-            registry::add(Counter::QuantScans, 1);
-            for (i, s) in scratch.scores.iter_mut().enumerate() {
-                let n = qn * self.item_norms[i];
-                *s = if n > 0.0 { *s / n } else { 0.0 };
-            }
-            scratch.scores[item as usize] = f32::NEG_INFINITY;
-            top_k_indices_into(
-                &scratch.scores,
-                k.saturating_mul(CANDIDATE_FACTOR),
-                &mut scratch.idx,
-            );
-            let mut out: Vec<(u32, f32)> = scratch
-                .idx
-                .iter()
-                .filter(|&&i| scratch.scores[i as usize] != f32::NEG_INFINITY)
-                .map(|&i| {
-                    let n = qn * self.item_norms[i as usize];
-                    let c = if n > 0.0 {
-                        dot(q, self.item_row(i as usize)) / n
-                    } else {
-                        0.0
-                    };
-                    (i, c)
-                })
-                .collect();
-            registry::add(Counter::QuantRescored, out.len() as u64);
-            out.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("scores must not be NaN")
-                    .then(a.0.cmp(&b.0))
-            });
-            out.truncate(k);
-            return Ok(out);
-        }
-        for (i, s) in scratch.scores.iter_mut().enumerate() {
-            let n = qn * self.item_norms[i];
-            if n > 0.0 {
-                *s = dot(q, self.item_row(i)) / n;
-            }
-        }
-        scratch.scores[item as usize] = f32::NEG_INFINITY;
-        Ok(top_k_with_scores(&scratch.scores, k))
+        let q = Query {
+            row: self.item_row(item as usize),
+            cos_norm: Some(self.item_norms[item as usize]),
+        };
+        Ok(self.rank_query(q, &[item], None, k, plan, scratch))
     }
 
-    /// `/similar` over the IVF index: probe with the query item's embedding
-    /// and rank only the probed cells' members by exact f32 cosine (with
-    /// quant on, an int8-approximated cosine pre-ranks the candidates down
-    /// to `CANDIDATE_FACTOR·k` first). The query item itself is excluded;
-    /// zero-norm embeddings score 0 rather than NaN.
-    fn similar_ann(
+    /// The one read pipeline every query runs through:
+    /// 1. candidates: the whole catalog, or the members of the IVF cells
+    ///    the plan probes, minus the sorted `mask`;
+    /// 2. under a quantized plan, an int8 pre-rank to `CANDIDATE_FACTOR·k`;
+    /// 3. exact f32 scores for the survivors — the whole-catalog scan runs
+    ///    the evaluator's own `matmul_nt` kernel, so served scores stay
+    ///    byte-identical to the offline ranking;
+    /// 4. the fold-in delta's new-item rows as one more exact candidate
+    ///    source;
+    /// 5. one [`rank`]: score desc, id asc, first `k`.
+    ///
+    /// Candidate sets are a deterministic function of (embeddings, config)
+    /// — see `ann.rs` — so every plan is bitwise thread-invariant.
+    fn rank_query(
         &self,
-        item: u32,
+        q: Query,
+        mask: &[u32],
+        delta: Option<&StreamDelta>,
         k: usize,
+        plan: Plan,
         scratch: &mut Scratch,
-        nprobe: Option<usize>,
     ) -> Vec<(u32, f32)> {
-        let ann = self.ann.as_ref().expect("ann index");
-        let q = self.item_row(item as usize);
-        let qn = self.item_norms[item as usize];
-        let nprobe = nprobe.unwrap_or_else(|| ann.nprobe());
-        let probed = ann.candidates_into_n(q, nprobe, &mut scratch.cells, &mut scratch.cand);
-        registry::add(Counter::AnnCellsProbed, probed as u64);
-        registry::add(Counter::AnnCandidates, scratch.cand.len() as u64);
-        let exact_cos = |it: u32| {
-            let n = qn * self.item_norms[it as usize];
-            if n > 0.0 {
-                dot(q, self.item_row(it as usize)) / n
-            } else {
-                0.0
+        let quant = match plan {
+            Plan::Quant | Plan::Ann { quant: true, .. } => {
+                let qt = self
+                    .quant
+                    .as_ref()
+                    .expect("quantized plan without an int8 table");
+                registry::add(Counter::QuantScans, 1);
+                Some((qt, QuantizedTable::quantize_query(q.row, &mut scratch.qbuf)))
             }
+            Plan::Exact | Plan::Ann { quant: false, .. } => None,
         };
-        let mut out: Vec<(u32, f32)> = if let Some(qt) = &self.quant {
-            let q_scale = QuantizedTable::quantize_query(q, &mut scratch.qbuf);
-            registry::add(Counter::QuantScans, 1);
-            let mut approx: Vec<(u32, f32)> = scratch
-                .cand
-                .iter()
-                .filter(|&&it| it != item)
-                .map(|&it| {
-                    let n = qn * self.item_norms[it as usize];
+        let pairs = &mut scratch.pairs;
+        pairs.clear();
+        if let Plan::Ann { nprobe, .. } = plan {
+            let ann = self.ann.as_ref().expect("ANN plan without an index");
+            let probed =
+                ann.candidates_into_n(q.row, nprobe, &mut scratch.cells, &mut scratch.cand);
+            registry::add(Counter::AnnCellsProbed, probed as u64);
+            registry::add(Counter::AnnCandidates, scratch.cand.len() as u64);
+            let cands = scratch.cand.iter().copied();
+            let unmasked = cands.filter(|it| mask.binary_search(it).is_err());
+            match quant {
+                Some((qt, q_scale)) => pairs.extend(unmasked.map(|it| {
                     let s = qt.score_row(it as usize, &scratch.qbuf, q_scale);
-                    (it, if n > 0.0 { s / n } else { 0.0 })
-                })
-                .collect();
-            approx.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("scores must not be NaN")
-                    .then(a.0.cmp(&b.0))
-            });
-            approx.truncate(k.saturating_mul(CANDIDATE_FACTOR));
-            let rescored: Vec<(u32, f32)> =
-                approx.iter().map(|&(it, _)| (it, exact_cos(it))).collect();
-            registry::add(Counter::QuantRescored, rescored.len() as u64);
-            rescored
+                    (it, self.finish(q, it, s))
+                })),
+                None => pairs.extend(unmasked.map(|it| (it, self.exact(q, it)))),
+            }
         } else {
-            scratch
-                .cand
+            let scores = &mut scratch.scores;
+            scores.clear();
+            scores.resize(self.n_items, 0.0);
+            match quant {
+                Some((qt, q_scale)) => qt.scores_into(&scratch.qbuf, q_scale, scores),
+                None => {
+                    let kern = kernels::active_kernel();
+                    kernels::count_dispatch(kern);
+                    let items = self.item_block();
+                    kernels::matmul_nt_block(kern, q.row, self.dim, items, self.n_items, scores);
+                }
+            }
+            for &it in mask {
+                // The mask may carry folded-in ids past the trained catalog.
+                if (it as usize) < self.n_items {
+                    scores[it as usize] = f32::NEG_INFINITY;
+                }
+            }
+            let unmasked = scores
                 .iter()
-                .filter(|&&it| it != item)
-                .map(|&it| (it, exact_cos(it)))
-                .collect()
-        };
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("scores must not be NaN")
-                .then(a.0.cmp(&b.0))
-        });
-        out.truncate(k);
-        out
+                .zip(0u32..)
+                .filter(|(&s, _)| s != f32::NEG_INFINITY);
+            pairs.extend(unmasked.map(|(&s, it)| (it, self.finish(q, it, s))));
+        }
+        if quant.is_some() {
+            rank(pairs, k.saturating_mul(CANDIDATE_FACTOR));
+            for p in pairs.iter_mut() {
+                p.1 = self.exact(q, p.0);
+            }
+            registry::add(Counter::QuantRescored, pairs.len() as u64);
+        }
+        for (it, row) in delta.into_iter().flat_map(StreamDelta::item_rows) {
+            if mask.binary_search(&it).is_err() {
+                pairs.push((it, dot(q.row, row)));
+            }
+        }
+        rank(pairs, k);
+        pairs.clone()
+    }
+
+    /// Turns a raw dot with `item` into the query's score: the dot itself,
+    /// or the cosine for a cosine query (0 when either norm is 0).
+    fn finish(&self, q: Query, item: u32, dot: f32) -> f32 {
+        match q.cos_norm {
+            None => dot,
+            Some(qn) => {
+                let n = qn * self.item_norms[item as usize];
+                if n > 0.0 {
+                    dot / n
+                } else {
+                    0.0
+                }
+            }
+        }
+    }
+
+    /// The exact f32 score of one catalog item.
+    fn exact(&self, q: Query, item: u32) -> f32 {
+        self.finish(q, item, dot(q.row, self.item_row(item as usize)))
     }
 
     /// Dot-product scores for explicit `(user, item)` pairs — the
@@ -840,75 +711,51 @@ impl EngineState {
     }
 }
 
-/// Mean overlap of an approximate top-`RECALL_K` path with the exact
-/// top-20 over up to [`RECALL_SAMPLE_USERS`] users spread evenly across
-/// the id space — the build-time guardrail behind the
-/// `serve.quant.recall_ppm` / `serve.ann.recall_ppm` gauges.
-fn measure_recall(
-    state: &EngineState,
-    ds: &Dataset,
-    approx: impl Fn(&EngineState, &Dataset, u32, &mut Scratch) -> Vec<(u32, f32)>,
-) -> f64 {
-    let mut scratch = Scratch::default();
+/// The final ordering every read path ends with: score descending, item id
+/// ascending (the offline evaluator's tie-break), first `k` kept.
+fn rank(pairs: &mut Vec<(u32, f32)>, k: usize) {
+    let cmp = |a: &(u32, f32), b: &(u32, f32)| {
+        b.1.partial_cmp(&a.1)
+            .expect("scores must not be NaN")
+            .then(a.0.cmp(&b.0))
+    };
+    if k < pairs.len() {
+        if let Some(nth) = k.checked_sub(1) {
+            pairs.select_nth_unstable_by(nth, cmp);
+        }
+        pairs.truncate(k);
+    }
+    pairs.sort_unstable_by(cmp);
+}
+
+/// Mean overlap of `plan`'s top-[`RECALL_K`] with the exact scan's over up
+/// to [`RECALL_SAMPLE_USERS`] users spread evenly across the id space — the
+/// build-time guardrail behind the `serve.quant.recall_ppm` /
+/// `serve.ann.recall_ppm` gauges.
+fn measure_recall(state: &EngineState, plan: Plan) -> f64 {
     let samples = state.n_users.min(RECALL_SAMPLE_USERS);
     if samples == 0 {
         return 1.0;
     }
-    let stride = (state.n_users / samples).max(1);
-    let mut total = 0.0;
-    let mut counted = 0usize;
-    for s in 0..samples {
-        let user = (s * stride) as u32;
-        if user as usize >= state.n_users {
-            break;
-        }
-        let exact: Vec<u32> = state
-            .top_k_exact(
-                state.final_emb.row(user as usize),
-                ds.train_items(user),
-                RECALL_K,
-                &mut scratch,
-            )
+    let stride = state.n_users / samples;
+    let mut scratch = Scratch::default();
+    let mut top = |user: u32, plan: Plan| -> Vec<u32> {
+        let empty = StreamDelta::default();
+        let ranked = state.recommend(&empty, user, RECALL_K, true, plan, &mut scratch);
+        ranked
+            .expect("sampled users are trained")
             .iter()
             .map(|&(i, _)| i)
-            .collect();
-        let got: Vec<u32> = approx(state, ds, user, &mut scratch)
-            .iter()
-            .map(|&(i, _)| i)
-            .collect();
-        total += overlap_fraction(&got, &exact);
-        counted += 1;
-    }
-    if counted == 0 {
-        1.0
-    } else {
-        total / counted as f64
-    }
-}
-
-/// [`measure_recall`] over the quantized full-catalog scan.
-fn measure_quant_recall(state: &EngineState, ds: &Dataset) -> f64 {
-    measure_recall(state, ds, |st, ds, u, scratch| {
-        st.top_k_quant(
-            st.final_emb.row(u as usize),
-            ds.train_items(u),
-            RECALL_K,
-            scratch,
-        )
-    })
-}
-
-/// [`measure_recall`] over the IVF ANN path (composed with quant when on).
-fn measure_ann_recall(state: &EngineState, ds: &Dataset) -> f64 {
-    measure_recall(state, ds, |st, ds, u, scratch| {
-        st.top_k_ann(
-            st.final_emb.row(u as usize),
-            ds.train_items(u),
-            RECALL_K,
-            scratch,
-            None,
-        )
-    })
+            .collect()
+    };
+    let total: f64 = (0..samples)
+        .map(|s| {
+            let user = (s * stride) as u32;
+            let exact = top(user, Plan::Exact);
+            overlap_fraction(&top(user, plan), &exact)
+        })
+        .sum();
+    total / samples as f64
 }
 
 /// Loads a tagged checkpoint and materializes an [`EngineState`].
@@ -1015,7 +862,7 @@ fn build_state(
         opts,
     );
     if state.quant_enabled() {
-        state.quant_recall = measure_quant_recall(&state, &ds);
+        state.quant_recall = measure_recall(&state, Plan::Quant);
         registry::gauge_set(
             Gauge::QuantRecallPpm,
             (state.quant_recall * 1_000_000.0).round() as u64,
@@ -1024,7 +871,11 @@ fn build_state(
     // A standby index is measured too: its recall is exactly what the
     // brownout controller trades away when it steps down to ANN.
     if state.ann_available() {
-        state.ann_recall = measure_ann_recall(&state, &ds);
+        let forced = ReadOverride {
+            force_ann: true,
+            nprobe: None,
+        };
+        state.ann_recall = measure_recall(&state, state.plan(forced));
         registry::gauge_set(
             Gauge::AnnRecallPpm,
             (state.ann_recall * 1_000_000.0).round() as u64,
@@ -1291,12 +1142,14 @@ mod tests {
         })
         .expect("open");
         let st = eng.state();
-        let sims = st.similar_items(2, 3).expect("similar");
+        let plan = st.plan(ReadOverride::default());
+        let mut scratch = Scratch::default();
+        let sims = st.similar(2, 3, plan, &mut scratch).expect("similar");
         assert_eq!(sims.len(), 3);
         assert!(sims.iter().all(|&(it, _)| it != 2), "query item in results");
         assert!(sims.windows(2).all(|w| w[0].1 >= w[1].1), "not sorted");
         assert!(sims.iter().all(|&(_, s)| (-1.01..=1.01).contains(&s)));
-        assert!(st.similar_items(99, 3).is_err());
+        assert!(st.similar(99, 3, plan, &mut scratch).is_err());
         std::fs::remove_file(std::env::temp_dir().join("lrgcn_engine_sim/m.ckpt")).ok();
     }
 
@@ -1349,250 +1202,6 @@ mod tests {
         assert!(eng.reload().is_err());
         assert_eq!(eng.generation(), 1);
         assert_eq!(eng.state().generation, 1);
-        std::fs::remove_file(ckpt).ok();
-    }
-
-    #[test]
-    fn scratch_paths_match_the_allocating_wrappers() {
-        let ds = tiny_dataset();
-        let dir = std::env::temp_dir().join("lrgcn_engine_scratch");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let ckpt = dir.join("m.ckpt");
-        save_lightgcn(&ds, &ckpt);
-        let eng = Engine::open(&ckpt, ds.clone(), EngineOptions {
-            n_layers: 2,
-            ..EngineOptions::default()
-        })
-        .expect("open");
-        let st = eng.state();
-        let mut scratch = Scratch::default();
-        for user in 0..4u32 {
-            let a = st.top_k(&ds, user, 5, true).expect("top_k");
-            let b = st
-                .top_k_into(&ds, user, 5, true, &mut scratch)
-                .expect("top_k_into");
-            assert_eq!(a, b, "user {user}: scratch path diverged");
-        }
-        // The exact scratch path must also match the offline score matrix
-        // bitwise, not just approximately.
-        let offline = st.score_users(&[2]);
-        let served = st.top_k(&ds, 2, 6, false).expect("top_k");
-        for &(it, s) in &served {
-            assert_eq!(
-                s.to_bits(),
-                offline[(0, it as usize)].to_bits(),
-                "item {it} score drifted from the offline kernel"
-            );
-        }
-        for item in 0..6u32 {
-            let a = st.similar_items(item, 4).expect("similar");
-            let b = st
-                .similar_items_into(item, 4, &mut scratch)
-                .expect("similar_into");
-            assert_eq!(a, b, "item {item}: scratch path diverged");
-        }
-        std::fs::remove_file(ckpt).ok();
-    }
-
-    #[test]
-    fn quant_engine_reranks_with_exact_scores() {
-        let ds = tiny_dataset();
-        let dir = std::env::temp_dir().join("lrgcn_engine_quant");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let ckpt = dir.join("m.ckpt");
-        save_lightgcn(&ds, &ckpt);
-        let exact_eng = Engine::open(&ckpt, ds.clone(), EngineOptions {
-            n_layers: 2,
-            ..EngineOptions::default()
-        })
-        .expect("open exact");
-        let quant_eng = Engine::open(&ckpt, ds.clone(), EngineOptions {
-            n_layers: 2,
-            quant: true,
-            ..EngineOptions::default()
-        })
-        .expect("open quant");
-        let exact = exact_eng.state();
-        let quant = quant_eng.state();
-        assert!(!exact.quant_enabled());
-        assert!(quant.quant_enabled());
-        assert!(quant.quant_bytes() > 0);
-        assert_eq!(exact.quant_recall, 1.0);
-        assert!(
-            quant.quant_recall > 0.9,
-            "recall {} too low on a 6-item catalog",
-            quant.quant_recall
-        );
-        // Candidate pool (4·K) covers the whole tiny catalog, so the
-        // rescored quant ranking must equal the exact one, scores included.
-        for user in 0..4u32 {
-            let e = exact.top_k(&ds, user, 3, true).expect("exact");
-            let q = quant.top_k(&ds, user, 3, true).expect("quant");
-            assert_eq!(e, q, "user {user}: full-coverage rescore diverged");
-        }
-        let e = exact.similar_items(1, 3).expect("exact similar");
-        let q = quant.similar_items(1, 3).expect("quant similar");
-        assert_eq!(e, q, "similar: full-coverage rescore diverged");
-        // Pair scores are approximate under quant but must stay close.
-        let pairs = [(0u32, 0u32), (1, 4), (3, 5)];
-        let es = exact.score_pairs(&pairs).expect("exact pairs");
-        let qs = quant.score_pairs(&pairs).expect("quant pairs");
-        for (i, (a, b)) in es.iter().zip(&qs).enumerate() {
-            assert!(
-                (a - b).abs() <= 0.05 * a.abs().max(1.0),
-                "pair {i}: exact {a} vs quant {b}"
-            );
-        }
-        std::fs::remove_file(ckpt).ok();
-    }
-
-    #[test]
-    fn ann_engine_with_full_probe_matches_exact() {
-        let ds = tiny_dataset();
-        let dir = std::env::temp_dir().join("lrgcn_engine_ann");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let ckpt = dir.join("m.ckpt");
-        save_lightgcn(&ds, &ckpt);
-        let exact_eng = Engine::open(&ckpt, ds.clone(), EngineOptions {
-            n_layers: 2,
-            ..EngineOptions::default()
-        })
-        .expect("open exact");
-        // nprobe covers every cell, so the candidate set is the whole
-        // catalog and the exact-rescored ANN ranking must equal the exact
-        // scan, scores included.
-        let ann_eng = Engine::open(&ckpt, ds.clone(), EngineOptions {
-            n_layers: 2,
-            ann: true,
-            nprobe: 6,
-            ann_cells: 3,
-            ..EngineOptions::default()
-        })
-        .expect("open ann");
-        let exact = exact_eng.state();
-        let ann = ann_eng.state();
-        assert!(!exact.ann_enabled());
-        assert!(ann.ann_enabled());
-        assert!(ann.ann_bytes() > 0);
-        assert_eq!(ann.ann_cells(), 3);
-        assert_eq!(ann.ann_nprobe(), 3, "nprobe must clamp to the cell count");
-        assert_eq!(exact.ann_recall, 1.0);
-        assert_eq!(ann.ann_recall, 1.0, "full probe must be lossless");
-        for user in 0..4u32 {
-            let e = exact.top_k(&ds, user, 3, true).expect("exact");
-            let a = ann.top_k(&ds, user, 3, true).expect("ann");
-            assert_eq!(e, a, "user {user}: full-probe ANN diverged");
-        }
-        let e = exact.similar_items(1, 3).expect("exact similar");
-        let a = ann.similar_items(1, 3).expect("ann similar");
-        assert_eq!(e, a, "similar: full-probe ANN diverged");
-
-        // ANN composed with quant still rescores with exact f32 dots.
-        let both_eng = Engine::open(&ckpt, ds.clone(), EngineOptions {
-            n_layers: 2,
-            ann: true,
-            quant: true,
-            nprobe: 6,
-            ann_cells: 3,
-            ..EngineOptions::default()
-        })
-        .expect("open ann+quant");
-        let both = both_eng.state();
-        assert!(both.ann_enabled() && both.quant_enabled());
-        for user in 0..4u32 {
-            let e = exact.top_k(&ds, user, 3, true).expect("exact");
-            let b = both.top_k(&ds, user, 3, true).expect("ann+quant");
-            assert_eq!(e, b, "user {user}: ann+quant full-coverage diverged");
-        }
-        std::fs::remove_file(ckpt).ok();
-    }
-
-    #[test]
-    fn standby_index_serves_exact_until_overridden() {
-        let ds = tiny_dataset();
-        let dir = std::env::temp_dir().join("lrgcn_engine_standby");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let ckpt = dir.join("m.ckpt");
-        save_lightgcn(&ds, &ckpt);
-        let exact_eng = Engine::open(&ckpt, ds.clone(), EngineOptions {
-            n_layers: 2,
-            ..EngineOptions::default()
-        })
-        .expect("open exact");
-        let standby_eng = Engine::open(&ckpt, ds.clone(), EngineOptions {
-            n_layers: 2,
-            ann_standby: true,
-            nprobe: 6,
-            ann_cells: 3,
-            ..EngineOptions::default()
-        })
-        .expect("open standby");
-        let exact = exact_eng.state();
-        let st = standby_eng.state();
-        assert!(!st.ann_enabled(), "standby must not change the default path");
-        assert!(st.ann_available());
-        assert!(st.ann_bytes() > 0);
-        assert_eq!(st.ann_recall, 1.0, "standby recall is still measured");
-
-        let mut scratch = Scratch::default();
-        for user in 0..4u32 {
-            let e = exact.top_k(&ds, user, 3, true).expect("exact");
-            // No override: byte-identical to the exact engine.
-            let d = st.top_k(&ds, user, 3, true).expect("default");
-            assert_eq!(e, d, "user {user}: standby changed the default path");
-            // Forced onto the index with a full probe: still identical
-            // (every cell covered, exact rescore).
-            let f = st
-                .top_k_into_opts(
-                    &ds,
-                    user,
-                    3,
-                    true,
-                    &mut scratch,
-                    ReadOverride {
-                        force_ann: true,
-                        nprobe: None,
-                    },
-                )
-                .expect("forced");
-            assert_eq!(e, f, "user {user}: forced full-probe ANN diverged");
-            // Narrowed probe: a valid (possibly shorter) ranking whose
-            // scores are exact dots for whatever candidates survive.
-            let n = st
-                .top_k_into_opts(
-                    &ds,
-                    user,
-                    3,
-                    true,
-                    &mut scratch,
-                    ReadOverride {
-                        force_ann: true,
-                        nprobe: Some(1),
-                    },
-                )
-                .expect("narrowed");
-            assert!(n.len() <= 3);
-            for (it, s) in &n {
-                let hit = e.iter().find(|(ei, _)| ei == it);
-                if let Some((_, es)) = hit {
-                    assert_eq!(s.to_bits(), es.to_bits(), "narrowed rescore drifted");
-                }
-            }
-        }
-        // /similar under a forced override answers too.
-        let e = exact.similar_items(1, 3).expect("exact similar");
-        let f = st
-            .similar_items_into_opts(
-                1,
-                3,
-                &mut scratch,
-                ReadOverride {
-                    force_ann: true,
-                    nprobe: None,
-                },
-            )
-            .expect("forced similar");
-        assert_eq!(e, f, "similar: forced full-probe ANN diverged");
         std::fs::remove_file(ckpt).ok();
     }
 

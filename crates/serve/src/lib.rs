@@ -4,10 +4,13 @@
 //! service on `std::net` alone — no tokio, no hyper, no serde:
 //!
 //! * [`engine`] — loads the checkpoint once, materializes the final node
-//!   embedding table, and answers `top_k` / `similar_items` /
-//!   `score_pairs` through the *same* kernels as the offline evaluator, so
-//!   served rankings are byte-identical to `evaluate_ranking` output for
-//!   any `LRGCN_THREADS`. Hot reload swaps an `Arc<EngineState>` under a
+//!   embedding table, and answers `/recs` and `/similar` through one read
+//!   pipeline: `EngineState::plan` resolves the request's [`engine::Plan`]
+//!   once, then candidates (whole catalog or probed IVF cells) → optional
+//!   int8 pre-rank → exact f32 rescore → one score-desc/id-asc rank. The
+//!   exact scan is the offline evaluator's own kernel, so served rankings
+//!   are byte-identical to `evaluate_ranking` output for any
+//!   `LRGCN_THREADS`. Hot reload swaps an `Arc<EngineState>` under a
 //!   `RwLock`; requests in flight keep their snapshot.
 //! * [`ann`] — a zero-dependency IVF index (deterministic k-means coarse
 //!   quantizer + inverted cell lists) for sub-linear `/recs` and
@@ -64,5 +67,5 @@ pub use batch::Batcher;
 pub use cache::TopKCache;
 pub use chaos::{ChaosClient, ConnFault, FaultPlan};
 pub use delta::StreamDelta;
-pub use engine::{Engine, EngineOptions, EngineState, ReadOverride, Scratch};
+pub use engine::{Engine, EngineOptions, EngineState, Plan, ReadOverride, Scratch};
 pub use server::{render_metrics, serve, ServerConfig, ServerHandle};

@@ -28,7 +28,7 @@
 
 use crate::batch::Batcher;
 use crate::cache::{Key, TopKCache};
-use crate::engine::{Engine, EngineState, ReadOverride, Scratch};
+use crate::engine::{Engine, EngineState, Plan, ReadOverride, Scratch};
 use crate::http::{read_request, write_response, Request};
 use lrgcn_obs::json::Value;
 use lrgcn_obs::registry::{bucket_upper_ns, HIST_BUCKETS};
@@ -190,7 +190,7 @@ pub fn serve(engine: Arc<Engine>, cfg: ServerConfig) -> Result<ServerHandle, Str
     let stop = Arc::new(AtomicBool::new(false));
     let cache = Arc::new(TopKCache::new(cfg.cache_capacity, n_workers.max(1)));
     let batcher = Batcher::new(cfg.batch_tick);
-    let obs = Arc::new(ObsState::new(&cfg, read_path_of(&engine))?);
+    let obs = Arc::new(ObsState::new(&cfg)?);
     let overload = Arc::new(Overload::new(&cfg));
     registry::gauge_set(Gauge::BrownoutLevel, 0);
     let ingest = match &cfg.events_log {
@@ -247,7 +247,6 @@ pub fn serve(engine: Arc<Engine>, cfg: ServerConfig) -> Result<ServerHandle, Str
     if cfg.brownout {
         let ov = overload.clone();
         let stop_flag = stop.clone();
-        let slo_ns = cfg.slo_p99_ms.unwrap_or(0).saturating_mul(1_000_000);
         let tick = cfg.brownout_tick;
         let mut ctl = BrownoutCtl::new(cfg.brownout_up_ticks, cfg.brownout_down_ticks);
         // The controller joins the worker pool for shutdown purposes: it
@@ -260,7 +259,7 @@ pub fn serve(engine: Arc<Engine>, cfg: ServerConfig) -> Result<ServerHandle, Str
                         std::thread::sleep(tick);
                         let w10 = window::serving_window(window::now_sec(), 10);
                         let old = ov.level.load(Ordering::SeqCst);
-                        let new = ctl.tick(old, under_pressure(&w10, slo_ns, &ov));
+                        let new = ctl.tick(old, under_pressure(&w10, &ov));
                         if new != old {
                             ov.level.store(new, Ordering::SeqCst);
                             registry::gauge_set(Gauge::BrownoutLevel, new as u64);
@@ -549,9 +548,13 @@ impl BrownoutCtl {
 
 /// One controller tick's verdict: the 10s p99 has blown the SLO with real
 /// traffic behind it, or the admission gate is saturated with a backlog
-/// queued behind it.
-fn under_pressure(w10: &WindowStats, slo_ns: u64, ov: &Overload) -> bool {
-    let slow = w10.requests >= PRESSURE_MIN_REQUESTS && w10.hist.quantile_ns(0.99) > slo_ns;
+/// queued behind it. The p99 is blown when more than the 1% budget of
+/// requests were over the target, which the window counts exactly; the
+/// log2-bucket p99 would report its bucket's upper bound and trip on one
+/// outlier over a true p99 well under the target.
+fn under_pressure(w10: &WindowStats, ov: &Overload) -> bool {
+    let slow =
+        w10.requests >= PRESSURE_MIN_REQUESTS && w10.slow_ratio() > window::LATENCY_SLO_BUDGET;
     let saturated = ov.max_inflight > 0
         && ov.inflight.load(Ordering::SeqCst) >= ov.max_inflight
         && ov.queued.load(Ordering::SeqCst) > 0;
@@ -559,12 +562,14 @@ fn under_pressure(w10: &WindowStats, slo_ns: u64, ov: &Overload) -> bool {
 }
 
 /// What a compute handler receives from the overload layer: the deadline
-/// (re-checked right before the scoring kernel), the brownout read-path
-/// override and k cap, and the slot guard that holds its admission slot
-/// for the handler's whole run.
+/// (re-checked right before the scoring kernel), the engine snapshot and
+/// the read plan resolved for it under the brownout override, the k cap,
+/// and the slot guard that holds its admission slot for the handler's
+/// whole run.
 struct Permit<'a> {
     deadline: Option<Instant>,
-    ovr: ReadOverride,
+    st: Arc<EngineState>,
+    plan: Plan,
     level: u8,
     _slot: Option<SlotGuard<'a>>,
 }
@@ -591,7 +596,8 @@ impl Permit<'_> {
 }
 
 /// Runs a compute request through deadline resolution and the admission
-/// gate; the brownout read override is sampled once, at admission.
+/// gate, then pins the engine snapshot and resolves its read plan under
+/// the brownout level sampled once, at admission.
 fn gated<'a>(req: &Request, ctx: &'a Ctx) -> Result<Permit<'a>, Reply> {
     let deadline = ctx.overload.deadline_of(req)?;
     if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -599,38 +605,25 @@ fn gated<'a>(req: &Request, ctx: &'a Ctx) -> Result<Permit<'a>, Reply> {
     }
     let slot = ctx.overload.admit(deadline)?;
     let level = ctx.overload.level();
+    let st = ctx.engine.state();
+    let plan = st.plan(read_override_for(level, &st));
     Ok(Permit {
         deadline,
-        ovr: read_override_for(level, &ctx.engine.state()),
+        st,
+        plan,
         level,
         _slot: slot,
     })
 }
 
 /// Maps a brownout level onto a [`ReadOverride`]. Level 1 forces the ANN
-/// index (when one is loaded — `--ann-standby` exists exactly for this);
-/// levels 2+ also halve the probe width. A server with no index degrades
-/// by shedding alone: the override never makes a request *more* expensive.
+/// index (`--ann-standby` exists exactly for this); levels 2+ also halve
+/// the probe width. [`EngineState::plan`] ignores the override when no
+/// index is loaded, so a server without one degrades by shedding alone.
 fn read_override_for(level: u8, st: &EngineState) -> ReadOverride {
-    if level == 0 || !st.ann_available() {
-        return ReadOverride::default();
-    }
     ReadOverride {
-        force_ann: true,
+        force_ann: level >= 1,
         nprobe: (level >= 2).then(|| (st.ann_nprobe() / 2).max(1)),
-    }
-}
-
-/// Which scan this engine configuration answers requests with. Fixed per
-/// process: reload preserves the engine options, so one label per server.
-fn read_path_of(engine: &Engine) -> ReadPath {
-    let st = engine.state();
-    if st.ann_enabled() {
-        ReadPath::Ann
-    } else if st.quant_enabled() {
-        ReadPath::Quant
-    } else {
-        ReadPath::Exact
     }
 }
 
@@ -638,7 +631,6 @@ fn read_path_of(engine: &Engine) -> ReadPath {
 /// generator, SLO thresholds, and the (optional) sampled access log.
 struct ObsState {
     started: Instant,
-    read_path: ReadPath,
     slo_p99_ms: Option<u64>,
     slo_err_ppm: Option<u64>,
     access: Option<Mutex<File>>,
@@ -649,7 +641,7 @@ struct ObsState {
 }
 
 impl ObsState {
-    fn new(cfg: &ServerConfig, read_path: ReadPath) -> Result<Self, String> {
+    fn new(cfg: &ServerConfig) -> Result<Self, String> {
         let access = match &cfg.access_log {
             Some(p) => Some(Mutex::new(
                 OpenOptions::new()
@@ -666,7 +658,6 @@ impl ObsState {
             .unwrap_or(0);
         Ok(Self {
             started: Instant::now(),
-            read_path,
             slo_p99_ms: cfg.slo_p99_ms,
             slo_err_ppm: cfg.slo_err_ppm,
             access,
@@ -716,6 +707,7 @@ impl ObsState {
         route: Route,
         status: u16,
         ns: u64,
+        read_path: ReadPath,
         generation: u64,
     ) {
         let Some(file) = &self.access else { return };
@@ -735,7 +727,7 @@ impl ObsState {
             ("route", Value::str(route.name())),
             ("status", Value::u64(status as u64)),
             ("latency_ns", Value::u64(ns)),
-            ("read_path", Value::str(self.read_path.name())),
+            ("read_path", Value::str(read_path.name())),
             ("generation", Value::u64(generation)),
         ])
         .render()
@@ -792,19 +784,19 @@ fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
     let _span = lrgcn_obs::trace::span("serve_request", "serve");
     let t0 = Instant::now();
 
-    let (req_id, route_label, method, path, reply) = match read_request(&mut stream) {
+    let (req_id, route_label, method, path, (reply, plan)) = match read_request(&mut stream) {
         Ok(req) => {
             let id = ctx.obs.request_id(&req);
             let label = classify_route(&req);
-            let reply = route(&req, ctx, &id);
-            (id, label, req.method, req.path, reply)
+            let answered = route(&req, ctx, &id);
+            (id, label, req.method, req.path, answered)
         }
         Err(err) => (
             ctx.obs.fresh_id(),
             Route::Other,
             "-".to_string(),
             "-".to_string(),
-            error_response(err.status, &err.msg),
+            (error_response(err.status, &err.msg), None),
         ),
     };
     let (status, content_type, body) = reply;
@@ -823,11 +815,24 @@ fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
         .obs
         .slo_p99_ms
         .is_some_and(|ms| ns > ms.saturating_mul(1_000_000));
-    window::record_request(route_label, status, effective_read_path(ctx, route_label), ns, slow);
+    // Both surfaces carry the plan the handler was served on; requests
+    // that ran no read plan report the engine's default one.
+    let read_path = plan
+        .unwrap_or_else(|| ctx.engine.state().plan(ReadOverride::default()))
+        .read_path();
+    window::record_request(route_label, status, read_path, ns, slow);
     if ctx.obs.access.is_some() {
         let generation = ctx.engine.generation();
-        ctx.obs
-            .access_log(&req_id, &method, &path, route_label, status, ns, generation);
+        ctx.obs.access_log(
+            &req_id,
+            &method,
+            &path,
+            route_label,
+            status,
+            ns,
+            read_path,
+            generation,
+        );
     }
 }
 
@@ -850,21 +855,6 @@ fn response_headers<'a>(req_id: &'a str, status: u16) -> Vec<(&'static str, &'a 
         extra.push(("retry-after", RETRY_AFTER_SECS));
     }
     extra
-}
-
-/// The read-path label for a request's window sample: the server's
-/// configured path, except compute routes answered under brownout, which
-/// were forced onto the ANN index when one is loaded.
-fn effective_read_path(ctx: &Ctx, route: Route) -> ReadPath {
-    if matches!(route, Route::Recs | Route::Similar)
-        && ctx.obs.read_path != ReadPath::Ann
-        && ctx.overload.level() >= 1
-        && ctx.engine.state().ann_available()
-    {
-        ReadPath::Ann
-    } else {
-        ctx.obs.read_path
-    }
 }
 
 fn error_response(status: u16, msg: &str) -> Reply {
@@ -893,8 +883,9 @@ fn json_response(v: &Value) -> Reply {
     (200, JSON, v.render().into_bytes())
 }
 
-fn route(req: &Request, ctx: &Ctx, req_id: &str) -> Reply {
-    match (req.method.as_str(), req.path.as_str()) {
+/// Dispatches a request; the plan is `Some` for the routes that ran one.
+fn route(req: &Request, ctx: &Ctx, req_id: &str) -> (Reply, Option<Plan>) {
+    let reply = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => healthz(ctx),
         ("GET", "/metrics") => {
             let mut text = render_metrics();
@@ -916,16 +907,28 @@ fn route(req: &Request, ctx: &Ctx, req_id: &str) -> Reply {
             ctx.batcher.shutdown();
             json_response(&Value::obj([("status", Value::str("shutting down"))]))
         }
-        ("GET", path) if path.starts_with("/recs/") => match gated(req, ctx) {
-            Ok(permit) => recs(req, ctx, &permit),
-            Err(reply) => reply,
-        },
-        ("GET", path) if path.starts_with("/similar/") => match gated(req, ctx) {
-            Ok(permit) => similar(req, ctx, &permit),
-            Err(reply) => reply,
-        },
+        ("GET", path) if path.starts_with("/recs/") => {
+            return planned(req, ctx, |permit| recs(req, ctx, permit))
+        }
+        ("GET", path) if path.starts_with("/similar/") => {
+            return planned(req, ctx, |permit| similar(req, permit))
+        }
         ("GET" | "POST", _) => error_response(404, &format!("no route for {}", req.path)),
         _ => error_response(405, &format!("method {} not allowed", req.method)),
+    };
+    (reply, None)
+}
+
+/// Runs a read-plan handler behind the admission gate and reports the
+/// plan it was served on; a request rejected at the gate ran none.
+fn planned(
+    req: &Request,
+    ctx: &Ctx,
+    handler: impl FnOnce(&Permit) -> Reply,
+) -> (Reply, Option<Plan>) {
+    match gated(req, ctx) {
+        Ok(permit) => (handler(&permit), Some(permit.plan)),
+        Err(reply) => (reply, None),
     }
 }
 
@@ -1086,7 +1089,10 @@ fn admin_obs(ctx: &Ctx) -> Reply {
         ("uptime_s", Value::u64(ctx.obs.started.elapsed().as_secs())),
         ("model", Value::str(st.model_name.clone())),
         ("generation", Value::u64(st.generation)),
-        ("read_path", Value::str(ctx.obs.read_path.name())),
+        (
+            "read_path",
+            Value::str(st.plan(ReadOverride::default()).read_path().name()),
+        ),
         ("reloads", Value::u64(registry::get(Counter::ServeReloads))),
         (
             "cache",
@@ -1423,30 +1429,29 @@ fn recs(req: &Request, ctx: &Ctx, permit: &Permit) -> Reply {
             return error_response(400, &format!("exclude_seen must be true/false, got {other:?}"))
         }
     };
-    let st = ctx.engine.state();
+    let st = &permit.st;
     // Pin one delta snapshot for the whole request: the 404 check, the
     // cache key and the computation all agree on what has been folded in.
     let delta = st.delta();
     if user as usize >= st.n_users && delta.user_row(user).is_none() {
         return error_response(404, &format!("user {user} out of range (0..{})", st.n_users));
     }
-    // The key encodes the *effective* read configuration for this request:
-    // under a brownout override the ANN path (at its effective probe
-    // width) must not share entries with the exact/quant path, or a
-    // degraded ranking would keep serving after recovery.
-    let ann_used = st.ann_enabled() || (permit.ovr.force_ann && st.ann_available());
-    let eff_nprobe = if ann_used {
-        permit.ovr.nprobe.unwrap_or_else(|| st.ann_nprobe())
-    } else {
-        0
+    // The key encodes the plan this request is served on: under a
+    // brownout override the ANN path (at its probe width) must not share
+    // entries with the exact/quant path, or a degraded ranking would keep
+    // serving after recovery.
+    let (quant, nprobe) = match permit.plan {
+        Plan::Exact => (false, 0),
+        Plan::Quant => (true, 0),
+        Plan::Ann { nprobe, .. } => (false, nprobe as u32),
     };
     let key = Key {
         generation: st.generation,
         user,
         k,
         exclude_seen,
-        quant: !ann_used && st.quant_enabled(),
-        nprobe: eff_nprobe as u32,
+        quant,
+        nprobe,
         delta: delta.version(),
     };
     // Deep brownout: any cached ranking for this user and shape — prior
@@ -1464,14 +1469,16 @@ fn recs(req: &Request, ctx: &Ctx, permit: &Permit) -> Reply {
             ]));
         }
     }
-    let ovr = permit.ovr;
     let compute = || {
         SCRATCH.with(|s| {
-            if delta.is_empty() {
-                st.top_k_into_opts(st.ds(), user, k, exclude_seen, &mut s.borrow_mut(), ovr)
-            } else {
-                st.top_k_stream_opts(&delta, user, k, exclude_seen, &mut s.borrow_mut(), ovr)
-            }
+            st.recommend(
+                &delta,
+                user,
+                k,
+                exclude_seen,
+                permit.plan,
+                &mut s.borrow_mut(),
+            )
         })
     };
     let (items, cached) = if ctx.cache_enabled {
@@ -1509,7 +1516,7 @@ fn recs(req: &Request, ctx: &Ctx, permit: &Permit) -> Reply {
     ]))
 }
 
-fn similar(req: &Request, ctx: &Ctx, permit: &Permit) -> Reply {
+fn similar(req: &Request, permit: &Permit) -> Reply {
     let item = match parse_id(&req.path, "/similar/") {
         Ok(i) => i,
         Err(r) => return r,
@@ -1518,14 +1525,14 @@ fn similar(req: &Request, ctx: &Ctx, permit: &Permit) -> Reply {
         Ok(k) => permit.cap_k(k),
         Err(r) => return r,
     };
-    let st = ctx.engine.state();
+    let st = &permit.st;
     if item as usize >= st.n_items {
         return error_response(404, &format!("item {item} out of range (0..{})", st.n_items));
     }
     if permit.expired() {
         return deadline_response("deadline expired before the scoring kernel");
     }
-    match SCRATCH.with(|s| st.similar_items_into_opts(item, k, &mut s.borrow_mut(), permit.ovr)) {
+    match SCRATCH.with(|s| st.similar(item, k, permit.plan, &mut s.borrow_mut())) {
         Ok(items) => json_response(&Value::obj([
             ("item", Value::u64(item as u64)),
             ("k", Value::u64(k as u64)),
@@ -1854,7 +1861,7 @@ mod tests {
             slo_err_ppm: Some(1000),
             ..ServerConfig::default()
         };
-        let obs = ObsState::new(&cfg, ReadPath::Exact).unwrap();
+        let obs = ObsState::new(&cfg).unwrap();
         window::record_request(Route::Recs, 200, ReadPath::Exact, 1_000_000, false);
         window::record_request(Route::Recs, 500, ReadPath::Exact, 90_000_000, true);
         let text = render_serving_metrics(&obs);
@@ -1924,7 +1931,7 @@ mod tests {
 
     #[test]
     fn request_ids_honor_wellformed_inbound_headers_only() {
-        let obs = ObsState::new(&ServerConfig::default(), ReadPath::Exact).unwrap();
+        let obs = ObsState::new(&ServerConfig::default()).unwrap();
         let mut req = fake_request("GET", "/healthz");
         req.headers
             .insert("x-lrgcn-request-id".into(), "trace-1.2:a_b".into());
@@ -2052,5 +2059,151 @@ mod tests {
             level = ctl.tick(level, false);
             assert_eq!(level, want);
         }
+    }
+
+    /// A 10s window holding `(latency_ns, count)` samples, counted slow
+    /// against `slo_ns` exactly as `handle_connection` does.
+    fn window_of(samples: &[(u64, u64)], slo_ns: u64) -> WindowStats {
+        let mut hist = registry::HistSnapshot {
+            count: 0,
+            sum_ns: 0,
+            max_ns: 0,
+            buckets: [0; HIST_BUCKETS],
+        };
+        let mut slo_slow = 0;
+        for &(ns, n) in samples {
+            hist.count += n;
+            hist.sum_ns += ns * n;
+            hist.max_ns = hist.max_ns.max(ns);
+            hist.buckets[registry::bucket_of(ns)] += n;
+            if ns > slo_ns {
+                slo_slow += n;
+            }
+        }
+        WindowStats {
+            window_s: 10,
+            requests: hist.count,
+            errors: 0,
+            routes: Vec::new(),
+            read_paths: [hist.count, 0, 0],
+            hist,
+            slo_slow,
+            sheds: 0,
+            deadline_exceeded: 0,
+        }
+    }
+
+    const SLO_NS: u64 = 100_000_000;
+
+    #[test]
+    fn brownout_does_not_step_at_a_true_p99_of_0_7x_the_slo() {
+        // 200 requests at 0.7x the SLO and one outlier past it: 0.5% slow.
+        // The log2 bucket holding the p99 reaches past the SLO, so a
+        // bucket-quantile trigger would step down here.
+        let w = window_of(&[(SLO_NS * 7 / 10, 200), (SLO_NS * 11 / 10, 1)], SLO_NS);
+        assert!(w.hist.quantile_ns(0.99) > SLO_NS, "bucket p99 overstates");
+        let ov = Overload::new(&ServerConfig::default());
+        assert!(!under_pressure(&w, &ov));
+        assert_eq!(BrownoutCtl::new(1, 1).tick(0, under_pressure(&w, &ov)), 0);
+    }
+
+    #[test]
+    fn brownout_steps_at_a_true_p99_of_1_1x_the_slo() {
+        let w = window_of(&[(SLO_NS * 11 / 10, 200)], SLO_NS);
+        let ov = Overload::new(&ServerConfig::default());
+        assert!(under_pressure(&w, &ov));
+        assert_eq!(BrownoutCtl::new(1, 1).tick(0, under_pressure(&w, &ov)), 1);
+    }
+
+    /// A standby-indexed engine over 4 users × 6 items.
+    fn standby_engine(dir: &std::path::Path) -> Arc<Engine> {
+        use lrgcn_models::{LightGcn, LightGcnConfig, Recommender};
+        use rand::SeedableRng;
+        let mut train = Vec::new();
+        for u in 0..4u32 {
+            for o in 0..3u32 {
+                train.push((u, (u + o) % 6));
+            }
+        }
+        let test = vec![vec![4], vec![5], vec![0], vec![1]];
+        let ds = Arc::new(lrgcn_data::Dataset::from_parts(
+            "tiny",
+            4,
+            6,
+            train,
+            vec![vec![]; 4],
+            test,
+        ));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let cfg = LightGcnConfig {
+            embedding_dim: 8,
+            n_layers: 2,
+            ..LightGcnConfig::default()
+        };
+        let mut m = LightGcn::new(&ds, cfg, &mut rng);
+        m.train_epoch(&ds, 0, &mut rng);
+        let ckpt = dir.join("m.ckpt");
+        lrgcn_models::checkpoint::save_model(&ckpt, "lightgcn", &m).expect("save");
+        let opts = crate::EngineOptions {
+            n_layers: 2,
+            ann_standby: true,
+            ann_cells: 2,
+            ..crate::EngineOptions::default()
+        };
+        Arc::new(Engine::open(&ckpt, ds, opts).expect("open"))
+    }
+
+    #[test]
+    fn brownout_requests_are_labeled_with_the_path_they_were_served_on() {
+        let dir = std::env::temp_dir().join("lrgcn_server_brownout_label");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let access_log = dir.join("access.jsonl");
+        let cfg = ServerConfig {
+            access_log: Some(access_log.clone()),
+            brownout: true,
+            ..ServerConfig::default()
+        };
+        let ctx = Ctx {
+            engine: standby_engine(&dir),
+            cache: Arc::new(TopKCache::new(16, 1)),
+            batcher: Batcher::new(cfg.batch_tick),
+            stop: Arc::new(AtomicBool::new(false)),
+            cache_enabled: true,
+            obs: Arc::new(ObsState::new(&cfg).expect("obs")),
+            ingest: None,
+            overload: Arc::new(Overload::new(&cfg)),
+        };
+        ctx.overload.level.store(1, Ordering::SeqCst);
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            s.write_all(b"GET /recs/0?k=3 HTTP/1.1\r\nx-lrgcn-request-id: brownout-1\r\n\r\n")
+                .expect("send");
+            let mut resp = String::new();
+            std::io::Read::read_to_string(&mut s, &mut resp).expect("read");
+            resp
+        });
+        let (stream, _) = listener.accept().expect("accept");
+        handle_connection(stream, &ctx);
+        let resp = client.join().expect("client");
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+
+        // Nothing else in this process serves on the ANN path.
+        let w = window::serving_window(window::now_sec(), 10);
+        assert!(
+            w.read_paths[ReadPath::Ann as usize] >= 1,
+            "window lost the ann label"
+        );
+        let text = std::fs::read_to_string(&access_log).expect("access log");
+        let line = text
+            .lines()
+            .find(|l| l.contains("brownout-1"))
+            .expect("logged");
+        let rec = lrgcn_obs::json::parse(line).expect("json");
+        assert_eq!(rec.get("read_path").and_then(Value::as_str), Some("ann"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
